@@ -57,9 +57,6 @@ func main() {
 		repArt   = flag.String("report-artifacts", "", "with -check-reports: write each failing scenario's synthesized report and execution trace into this directory")
 		faults   = flag.Bool("faults", false, "chaos gate: re-diagnose the corpus under deterministic fault injection (seeded by -seed) and fail unless serial and 8-worker runs agree and every chain is golden or Partial with a machine-readable reason")
 		faultR   = flag.Float64("fault-rate", 0.1, "with -faults: per-decision fault probability")
-		fleetG   = flag.Bool("fleet", false, "fleet chaos gate: diagnose the corpus on a 3-node in-process fleet under seeded lease-expiry, handoff-drop and node-death faults, plus a coordinator-partition and a dead-owner handoff case, and fail unless every chain is byte-identical to the serial run")
-		fleetR   = flag.Float64("fleet-rate", 0.08, "with -fleet: per-decision fleet fault probability (node death fires at a quarter of it)")
-		fleetArt = flag.String("fleet-artifacts", "", "with -fleet: write per-scenario outcomes and node statuses into this directory on failure")
 		checkLF  = flag.String("check-lifs", "", "run the -lifs artifact and fail if schedule counts or speedups regress more than 25% against the committed baseline JSON at this path")
 		checkFl  = flag.String("check-flips", "", "flip-regression gate: run the -flips artifact and fail unless every warm chain is byte-identical to cold, the warm pass skips at least 25% of flip tests, and flip counts stay within ±25% of the committed baseline JSON at this path")
 		crashRes = flag.Bool("crash-resume", false, "crash-recovery gate, in-process half: interrupt checkpointed diagnoses mid-search and mid-analysis and fail unless they resume to the golden diagnosis with strictly fewer schedules")
@@ -73,7 +70,7 @@ func main() {
 		traceW   = flag.Int("trace-workers", runtime.GOMAXPROCS(0), "worker count for the -trace diagnosis")
 	)
 	flag.Parse()
-	if !*all && *table == 0 && !*concise && !*baseline && !*figure5 && !*chains && !*ablation && !*repro && !*lifs && !*flips && !*checkCh && !*checkRep && !*checkMx && !*faults && !*fleetG && !*crashRes && *killRec == "" && *checkLF == "" && *checkFl == "" && *trace == "" {
+	if !*all && *table == 0 && !*concise && !*baseline && !*figure5 && !*chains && !*ablation && !*repro && !*lifs && !*flips && !*checkCh && !*checkRep && !*checkMx && !*faults && !*crashRes && *killRec == "" && *checkLF == "" && *checkFl == "" && *trace == "" {
 		*all = true
 	}
 
@@ -128,10 +125,6 @@ func main() {
 		// for the first violating scenario, not a standalone trace run.
 		list, name := gateCorpus(*corpus, "handbuilt")
 		check(runChaos(*seed, *faultR, *trace, list, name))
-	}
-	if *fleetG {
-		list, name := gateCorpus(*corpus, "handbuilt")
-		check(runFleet(*seed, *fleetR, *fleetArt, list, name))
 	}
 	if *crashRes {
 		check(runCrashResume())

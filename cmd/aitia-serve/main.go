@@ -23,6 +23,16 @@ import (
 	"aitia/internal/service/httpapi"
 )
 
+// Connection time limits for the API listener. A client that never
+// finishes its request headers is cut off after readHeaderTimeout
+// (slowloris), and an idle keep-alive connection is closed after
+// idleTimeout. Request bodies are bounded separately by the httpapi
+// handlers.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // parsePeers parses the -peers flag: comma-separated id=url entries,
 // e.g. "n1=http://host1:8080,n2=http://host2:8080". The local node's
 // entry may be included (its URL is ignored for routing to self).
@@ -65,8 +75,6 @@ func main() {
 		priorMin   = flag.Int("prior-min-support", 0, "benign observations required before the learned prior skips a flip test (0 = default 1, negative disables the prior)")
 		nodeID     = flag.String("node-id", "", "this replica's fleet identity; empty runs single-node")
 		peersSpec  = flag.String("peers", "", "fleet members as comma-separated id=url entries (e.g. n1=http://host1:8080,n2=http://host2:8080); requires -node-id")
-		leaseTTL   = flag.Duration("lease-ttl", fleet.DefaultLeaseTTL, "branch-lease duration between heartbeats in fleet mode")
-		fleetEpoch = flag.Uint64("fleet-epoch", 1, "fleet incarnation; bump after a fleet-wide restart so stale leases from the old incarnation are fenced off")
 	)
 	flag.Parse()
 
@@ -88,9 +96,8 @@ func main() {
 		}()
 	}
 
-	// Fleet mode: build the node (membership rings + lease table) before
-	// the service opens, so Open can attach the WAL to the lease table
-	// and replay any leases the previous incarnation left out.
+	// Fleet mode: the node holds the job-routing ring; the HTTP layer
+	// proxies each submit to its owner through the peer URLs.
 	var fleetNode *fleet.Node
 	var peerURLs map[string]string
 	if *peersSpec != "" {
@@ -111,16 +118,8 @@ func main() {
 		if _, ok := urls[*nodeID]; !ok {
 			ids = append(ids, *nodeID)
 		}
-		fleetNode = fleet.New(fleet.Config{
-			ID:        *nodeID,
-			Peers:     ids,
-			Epoch:     *fleetEpoch,
-			LeaseTTL:  *leaseTTL,
-			Fault:     plan,
-			Transport: &fleet.HTTPTransport{Peers: urls},
-		})
-		fmt.Fprintf(os.Stderr, "aitia-serve: fleet member %s (epoch %d, %d members, lease TTL %s)\n",
-			*nodeID, *fleetEpoch, len(ids), *leaseTTL)
+		fleetNode = fleet.New(fleet.Config{ID: *nodeID, Peers: ids})
+		fmt.Fprintf(os.Stderr, "aitia-serve: fleet member %s (%d members)\n", *nodeID, len(ids))
 	}
 
 	svc, err := service.Open(service.Config{
@@ -152,7 +151,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "aitia-serve: durable state in %s (recovered %d jobs)\n",
 			*dataDir, svc.Metrics().JobsRecovered.Value())
 	}
-	srv := &http.Server{Addr: *addr, Handler: httpapi.NewWithFleet(svc, httpapi.FleetConfig{PeerURLs: peerURLs})}
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           httpapi.NewWithFleet(svc, httpapi.FleetConfig{PeerURLs: peerURLs}),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

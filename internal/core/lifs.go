@@ -70,14 +70,6 @@ type LIFSOptions struct {
 	// and branches that can no longer reproduce the reported failure are
 	// pruned. Nil searches blind. See Guide.
 	Guide *Guide
-	// Dispatch routes a phase's parallel branch units to a fleet of
-	// remote executors instead of the local worker pool. Branch
-	// exploration is a pure function of the dispatched batch, so a
-	// fleet-executed phase merges byte-identical results; branches the
-	// dispatcher does not return (lost node, expired lease, partition)
-	// are swept up serially on the main machine. Nil keeps the search
-	// local. Ignored under Guide (guided pruning state does not travel).
-	Dispatch BranchDispatcher
 	// Checkpoint arms durable search checkpoints: the frontier is saved
 	// at every deepening-phase boundary (and, serially, every
 	// CheckpointConfig.Every schedules), and the search resumes from the
@@ -929,11 +921,7 @@ func (s *searcher) phase(k int) error {
 		s.maybeSavePartial(p, k, gi+1)
 	}
 
-	if parallel && len(tasks) > 0 && s.ctxErr == nil && s.opts.Dispatch != nil && s.guide == nil {
-		// Fleet mode: lease the tasks out through the dispatcher; any
-		// branch the fleet did not execute is swept serially below.
-		s.dispatchTasks(p, k, tasks, s.opts.Dispatch)
-	} else if parallel && len(tasks) > 0 && s.ctxErr == nil {
+	if parallel && len(tasks) > 0 && s.ctxErr == nil {
 		var vmMu sync.Mutex
 		var vms []*workerVM
 		err := runWorkers(s.ctx, s.opts.Tracer, "lifs-task", s.opts.Workers, len(tasks),

@@ -55,24 +55,8 @@ const (
 	// time: the incremental-replay cache must degrade to a from-scratch
 	// replay instead of resuming from (possibly wrong) cached state.
 	KindPrefixRestore
-	// KindNodeDeath kills a fleet node (the SIGKILL of a whole
-	// aitia-serve replica): every branch execution in flight on it is
-	// lost and its leases run out. Keyed by the branch's stable identity
-	// (phase budget, unit ordinal), never by which node drew the work, so
-	// the same deaths fire regardless of fleet size or placement.
-	KindNodeDeath
-	// KindLeaseExpiry expires a branch lease before its holder's result
-	// arrives, as if the holder stopped heartbeating: the coordinator
-	// must reclaim the lease, bump the fencing token and re-execute the
-	// branch — with results identical to the first execution.
-	KindLeaseExpiry
-	// KindPartition drops one peer-to-peer fleet message (a job handoff,
-	// a branch dispatch, a heartbeat), as a network partition would. A
-	// fully partitioned coordinator must degrade to local serial search
-	// with a machine-readable PartialReason rather than hang.
-	KindPartition
 
-	numKinds = 8
+	numKinds = 5
 )
 
 // String returns the kind's metric label.
@@ -88,12 +72,6 @@ func (k Kind) String() string {
 		return "queue-admit"
 	case KindPrefixRestore:
 		return "prefix-restore"
-	case KindNodeDeath:
-		return "node-death"
-	case KindLeaseExpiry:
-		return "lease-expiry"
-	case KindPartition:
-		return "partition"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -103,7 +81,7 @@ func (k Kind) String() string {
 func Kinds() []Kind {
 	return []Kind{
 		KindSnapshotRestore, KindEnforceStall, KindWorkerDeath, KindQueueAdmit,
-		KindPrefixRestore, KindNodeDeath, KindLeaseExpiry, KindPartition,
+		KindPrefixRestore,
 	}
 }
 

@@ -284,9 +284,18 @@ func TestDoSkipBackoffCutsSleep(t *testing.T) {
 }
 
 func TestKindStrings(t *testing.T) {
+	if len(Kinds()) != numKinds {
+		t.Fatalf("Kinds() lists %d kinds, want %d", len(Kinds()), numKinds)
+	}
+	seen := make(map[string]bool)
 	for _, k := range Kinds() {
-		if s := k.String(); s == "" || s == fmt.Sprintf("kind(%d)", uint8(k)) {
+		s := k.String()
+		if s == "" || s == fmt.Sprintf("kind(%d)", uint8(k)) {
 			t.Fatalf("kind %d has no label", uint8(k))
 		}
+		if seen[s] {
+			t.Fatalf("label %q used by two kinds", s)
+		}
+		seen[s] = true
 	}
 }

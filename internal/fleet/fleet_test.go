@@ -1,16 +1,9 @@
 package fleet
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
-
-	"aitia/internal/core"
-	"aitia/internal/faultinject"
-	"aitia/internal/kvm"
-	"aitia/internal/scenarios"
 )
 
 // TestRingDeterministicPlacement: every node that knows the same member
@@ -53,210 +46,18 @@ func TestRingEmptyAndSingle(t *testing.T) {
 	}
 }
 
-// fleetPipeline diagnoses one scenario with the given dispatcher (nil
-// for the plain parallel baseline) and returns the formatted chain.
-func fleetPipeline(t *testing.T, sc *scenarios.Scenario, d core.BranchDispatcher) string {
-	t.Helper()
-	prog := sc.MustProgram()
-	m, err := kvm.New(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := core.Reproduce(m, core.LIFSOptions{
-		WantKind:  sc.WantKind,
-		WantInstr: sc.WantInstr(),
-		LeakCheck: sc.NeedsLeakCheck(),
-		Workers:   4,
-		Dispatch:  d,
-	})
-	if err != nil {
-		t.Fatalf("Reproduce: %v", err)
-	}
-	diag, err := core.Analyze(m, rep, core.AnalysisOptions{LeakCheck: sc.NeedsLeakCheck(), Workers: 4})
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
-	return diag.Chain.Format(prog)
-}
-
-func testCluster(cfg ClusterConfig) *LocalCluster {
-	if cfg.LeaseTTL == 0 {
-		cfg.LeaseTTL = 500 * time.Millisecond
-	}
-	if cfg.Epoch == 0 {
-		cfg.Epoch = 1
-	}
-	return NewLocalCluster([]string{"n1", "n2", "n3"}, cfg)
-}
-
-// TestFleetDiagnosisMatchesSerial: a clean 3-node fleet produces the
-// byte-identical chain to the plain parallel search, with branches
-// actually executed remotely.
-func TestFleetDiagnosisMatchesSerial(t *testing.T) {
-	sc, _ := scenarios.ByName("cve-2017-15649")
-	want := fleetPipeline(t, sc, nil)
-
-	c := testCluster(ClusterConfig{})
-	coord := c.Node("n1")
-	disp := coord.Dispatcher()
-	got := fleetPipeline(t, sc, disp)
-	if got != want {
-		t.Errorf("fleet chain = %q, want %q", got, want)
-	}
-	if disp.Degraded() != "" {
-		t.Errorf("clean fleet degraded: %q", disp.Degraded())
-	}
-	st := coord.Status()
-	if st.RemoteBranches == 0 {
-		t.Error("no branches executed remotely — the fleet path never ran")
-	}
-	if st.ActiveLeases != 0 {
-		t.Errorf("%d leases still active after the diagnosis", st.ActiveLeases)
-	}
-}
-
-// TestFleetSurvivesNodeDeath: a seeded node-death fault SIGKILLs an
-// executor mid-diagnosis. Its leases expire, its branches are re-leased
-// to the survivor, and the chain is still byte-identical — no accepted
-// work is lost and no lost work is skipped.
-func TestFleetSurvivesNodeDeath(t *testing.T) {
-	sc, _ := scenarios.ByName("cve-2017-15649")
-	want := fleetPipeline(t, sc, nil)
-
-	plan := faultinject.NewPlan(7, 0).SetRate(faultinject.KindNodeDeath, 1)
-	c := testCluster(ClusterConfig{Fault: plan})
-	coord := c.Node("n1")
-	got := fleetPipeline(t, sc, coord.Dispatcher())
-	if got != want {
-		t.Errorf("chain after node death = %q, want %q", got, want)
-	}
-	killed := 0
-	for _, id := range c.Nodes() {
-		if c.Killed(id) {
-			killed++
-		}
-	}
-	// Rate 1 kills the elected executor on the first attempt of the first
-	// branch (and on retries until the budget breaks the loop), so at
-	// least one peer must be dead; the coordinator never kills itself.
-	if killed == 0 {
-		t.Error("no node was killed with node-death rate 1")
-	}
-	if c.Killed(coord.ID()) {
-		t.Error("coordinator killed itself")
-	}
-}
-
-// TestFleetInjectedExpiryReexecutes: lease-expiry faults at rate 1 fence
-// off every first result; the dispatcher must re-lease and re-execute
-// until an attempt's result survives validation, identically.
-func TestFleetInjectedExpiryReexecutes(t *testing.T) {
-	sc, _ := scenarios.ByName("cve-2017-15649")
-	want := fleetPipeline(t, sc, nil)
-
-	// Expiry fires per (branch, attempt) pair; rate 0.5 lets retries get
-	// through while forcing plenty of fenced results.
-	plan := faultinject.NewPlan(11, 0).SetRate(faultinject.KindLeaseExpiry, 0.5)
-	c := testCluster(ClusterConfig{Fault: plan})
-	coord := c.Node("n2")
-	got := fleetPipeline(t, sc, coord.Dispatcher())
-	if got != want {
-		t.Errorf("chain under injected expiry = %q, want %q", got, want)
-	}
-	st := coord.Status()
-	if st.InjectedExpiry == 0 {
-		t.Error("no expiry fired at rate 0.5")
-	}
-	if st.Reexecuted == 0 {
-		t.Error("expiries fired but nothing was re-executed")
-	}
-	if lt := st.Leases; lt.StaleFence == 0 {
-		t.Errorf("fencing never rejected a stale result: %+v", lt)
-	}
-}
-
-// TestFleetPartitionDegradesToLocal: a coordinator cut off from every
-// peer must not hang and must not fail — it degrades to the local
-// serial sweep, reports the machine-readable reason, and still produces
-// the identical diagnosis.
-func TestFleetPartitionDegradesToLocal(t *testing.T) {
-	sc, _ := scenarios.ByName("cve-2017-15649")
-	want := fleetPipeline(t, sc, nil)
-
-	c := testCluster(ClusterConfig{})
-	coord := c.Node("n3")
-	c.Partition("n3")
-	disp := coord.Dispatcher()
-	got := fleetPipeline(t, sc, disp)
-	if got != want {
-		t.Errorf("partitioned chain = %q, want %q", got, want)
-	}
-	if disp.Degraded() != ReasonPartitioned {
-		t.Errorf("degraded = %q, want %q", disp.Degraded(), ReasonPartitioned)
-	}
-	if st := coord.Status(); st.RemoteBranches != 0 {
-		t.Errorf("partitioned coordinator still ran %d remote branches", st.RemoteBranches)
-	}
-}
-
-// TestFleetHandoffDrop: partition faults on the send path drop the
-// dispatch message; the branch is re-leased (possibly to another peer)
-// and the diagnosis is unchanged.
-func TestFleetHandoffDrop(t *testing.T) {
-	sc, _ := scenarios.ByName("cve-2017-15649")
-	want := fleetPipeline(t, sc, nil)
-
-	plan := faultinject.NewPlan(13, 0).SetRate(faultinject.KindPartition, 0.5)
-	c := testCluster(ClusterConfig{Fault: plan})
-	coord := c.Node("n1")
-	got := fleetPipeline(t, sc, coord.Dispatcher())
-	if got != want {
-		t.Errorf("chain under handoff drops = %q, want %q", got, want)
-	}
-	if st := coord.Status(); st.HandoffDrops == 0 {
-		t.Error("no handoff drop fired at rate 0.5")
-	}
-}
-
-// TestClusterReachability: the local transport's liveness gates — kill
-// is permanent and partition is bidirectional but healable.
-func TestClusterReachability(t *testing.T) {
-	c := testCluster(ClusterConfig{})
-	tr := &localTransport{c: c, from: "n1"}
-	ctx := context.Background()
-	if err := tr.Ping(ctx, "n2"); err != nil {
-		t.Fatalf("healthy ping: %v", err)
-	}
-	c.Partition("n2")
-	if err := tr.Ping(ctx, "n2"); err == nil {
-		t.Fatal("ping reached a partitioned node")
-	}
-	c.Heal("n2")
-	if err := tr.Ping(ctx, "n2"); err != nil {
-		t.Fatalf("ping after heal: %v", err)
-	}
-	c.Kill("n2")
-	if err := tr.Ping(ctx, "n2"); err == nil {
-		t.Fatal("ping reached a dead node")
-	}
-	c.Heal("n2")
-	if err := tr.Ping(ctx, "n2"); err == nil {
-		t.Fatal("heal resurrected a killed node")
-	}
-	if !c.Node("n1").Alive("n3") {
-		t.Fatal("n3 wrongly observed down")
-	}
-}
-
 // TestNodeStatusSnapshot: Status reflects membership, liveness and the
 // job-routing view.
 func TestNodeStatusSnapshot(t *testing.T) {
-	c := testCluster(ClusterConfig{Epoch: 5})
-	n := c.Node("n1")
-	c.Kill("n3")
+	peers := []string{"n1", "n2", "n3"}
+	n := New(Config{ID: "n1", Peers: peers})
+	other := New(Config{ID: "n2", Peers: peers})
+	n.MarkDown("n3")
+	other.MarkDown("n3")
+	n.NoteJobHandoff()
 	st := n.Status()
-	if st.Node != "n1" || st.Epoch != 5 {
-		t.Errorf("status = %+v, want node n1 epoch 5", st)
+	if st.Node != "n1" || st.JobHandoffs != 1 {
+		t.Errorf("status = %+v, want node n1 with 1 job handoff", st)
 	}
 	if len(st.Peers) != 3 {
 		t.Fatalf("peers = %v, want all 3 members", st.Peers)
@@ -271,7 +72,10 @@ func TestNodeStatusSnapshot(t *testing.T) {
 		}
 	}
 	// Ownership agrees across survivors even after the death.
-	if o1, o2 := c.Node("n1").OwnerOf("deadbeef"), c.Node("n2").OwnerOf("deadbeef"); o1 != o2 {
+	if o1, o2 := n.OwnerOf("deadbeef"), other.OwnerOf("deadbeef"); o1 != o2 {
 		t.Errorf("owners diverge after a death: %s vs %s", o1, o2)
+	}
+	if seq := n.JobSequence("deadbeef"); len(seq) != 3 || seq[0] != n.OwnerOf("deadbeef") {
+		t.Errorf("job sequence %v does not start at owner %s", seq, n.OwnerOf("deadbeef"))
 	}
 }

@@ -1,58 +1,19 @@
 // Package fleet is the multi-node mode of the diagnosis service: a set
-// of aitia-serve replicas that route jobs to owners by consistent hash
-// of the program, hand jobs off when an owner is down, and distribute
-// LIFS deepening-phase branches — the unit the local worker pool shards
-// — to remote executors under heartbeat-renewed, fencing-token leases.
+// of aitia-serve replicas that route each job to its owner by
+// consistent hash of the program, and hand a job off to the next node
+// in ring order when its owner is down.
 //
-// The design constraint is inherited from the whole pipeline: a fleet
-// diagnosis must be byte-identical to a serial one. Branch exploration
-// is a pure function of the dispatched batch (see core.ExecuteBranch),
-// so placement, re-execution after a lost lease, and degradation to
-// local search can never change a chain — only availability and stats.
-// Every fault-injection decision is keyed by the branch's stable
-// identity (program hash, phase budget, unit ordinal), never by which
-// node drew the work, so chaos runs fire the same faults regardless of
-// fleet size.
+// Routing is the only thing the fleet distributes. A diagnosis runs
+// entirely on the node that accepted it — serially, on that node's
+// local LIFS worker pool, or resumed from its checkpoints — so which
+// node ran a job changes availability and the job's Node stamp, never
+// its chain.
 package fleet
 
 import (
-	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"aitia/internal/core"
-	"aitia/internal/durable"
-	"aitia/internal/faultinject"
-	"aitia/internal/kir"
-	"aitia/internal/obs"
 )
-
-// DefaultLeaseTTL is the branch-lease duration when the config leaves
-// it zero: long enough that a healthy executor's heartbeats (at TTL/3)
-// always land, short enough that a dead node's work is reclaimed fast.
-const DefaultLeaseTTL = 2 * time.Second
-
-// ReasonPartitioned is the machine-readable PartialReason a diagnosis
-// carries when its coordinator could not reach any fleet peer and
-// degraded to local serial search.
-const ReasonPartitioned = "fleet_partitioned"
-
-// ErrNodeDown is what a transport returns for a dead or unreachable
-// peer.
-var ErrNodeDown = errors.New("fleet: node down")
-
-// Transport moves fleet messages between nodes. The in-process
-// LocalCluster implementation backs tests and the bench chaos gate; the
-// HTTP implementation backs real multi-process fleets.
-type Transport interface {
-	// ExecuteBranch runs work item i of the batch on the given node and
-	// returns its result (exactly core.ExecuteBranch on the far side).
-	ExecuteBranch(ctx context.Context, node string, prog *kir.Program, batch *core.BranchBatch, i int) (*core.BranchResult, error)
-	// Ping probes a peer's liveness.
-	Ping(ctx context.Context, node string) error
-}
 
 // Config assembles a fleet node.
 type Config struct {
@@ -61,92 +22,31 @@ type Config struct {
 	// consistent hashing depends on it.
 	ID    string
 	Peers []string
-	// Epoch is the fleet incarnation. Leases journaled under a prior
-	// epoch are fenced off on recovery, never honored.
-	Epoch uint64
-	// LeaseTTL bounds how long a branch lease lives between heartbeats
-	// (DefaultLeaseTTL when zero).
-	LeaseTTL time.Duration
-	// Journal, when set, makes lease transitions durable (the service
-	// WAL; lease records coexist with job records — see durable.LeaseRecord).
-	Journal *durable.Journal
-	// Fault arms the chaos kinds (node-death, lease-expiry, partition).
-	Fault *faultinject.Plan
-	// Tracer receives lease/handoff/remote-branch spans (all Volatile —
-	// placement facts, not search facts). Nil disables at zero cost.
-	Tracer *obs.Tracer
-	// Transport reaches the peers.
-	Transport Transport
-	// Killer, when set, is invoked once when a node-death fault elects a
-	// victim: the cluster-level SIGKILL (LocalCluster marks the node
-	// dead for every subsequent message; a process fleet would kill the
-	// process). Nil degrades node-death to an unreachable-peer fault.
-	Killer func(node string)
 }
 
-// nodeStats are the node's fleet counters.
-type nodeStats struct {
-	remoteBranches atomic.Uint64 // branch results accepted from peers
-	reexecs        atomic.Uint64 // branches re-executed after a fenced-off lease
-	injectedExpiry atomic.Uint64 // lease-expiry faults fired
-	handoffDrops   atomic.Uint64 // partition faults that dropped a dispatch
-	abandoned      atomic.Uint64 // branches the fleet gave up on (swept locally)
-	jobHandoffs    atomic.Uint64 // jobs taken over from (or forwarded past) a dead owner
-}
-
-// Node is one fleet member: the routing rings, the lease table, and the
-// dispatcher factory the service plugs into each job's search.
+// Node is one fleet member: the job-routing ring and this node's view
+// of which peers are alive.
 type Node struct {
-	cfg      Config
-	jobRing  *Ring // all peers: who owns a job
-	workRing *Ring // peers minus self: who executes this node's branches
-	leases   *durable.LeaseTable
+	cfg     Config
+	jobRing *Ring
 
-	mu       sync.Mutex
-	down     map[string]bool
-	degraded string // last dispatch degradation reason
+	mu   sync.Mutex
+	down map[string]bool
 
-	stats nodeStats
+	jobHandoffs atomic.Uint64 // jobs taken over from (or forwarded past) a dead owner
 }
 
-// New assembles a node. The lease table folds nothing here — journal
-// recovery happens in the service's Open pass, which routes lease
-// records to RestoreLease.
+// New assembles a node.
 func New(cfg Config) *Node {
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = DefaultLeaseTTL
-	}
-	var others []string
-	for _, p := range cfg.Peers {
-		if p != cfg.ID {
-			others = append(others, p)
-		}
-	}
 	return &Node{
-		cfg:      cfg,
-		jobRing:  NewRing(cfg.Peers),
-		workRing: NewRing(others),
-		leases:   durable.NewLeaseTable(cfg.Journal, cfg.Epoch),
-		down:     make(map[string]bool),
+		cfg:     cfg,
+		jobRing: NewRing(cfg.Peers),
+		down:    make(map[string]bool),
 	}
 }
 
 // ID returns the node's identity.
 func (n *Node) ID() string { return n.cfg.ID }
-
-// Epoch returns the fleet incarnation.
-func (n *Node) Epoch() uint64 { return n.cfg.Epoch }
-
-// LeaseTTL returns the effective branch-lease TTL.
-func (n *Node) LeaseTTL() time.Duration { return n.cfg.LeaseTTL }
-
-// Leases exposes the node's lease table (journal recovery, tests).
-func (n *Node) Leases() *durable.LeaseTable { return n.leases }
-
-// RestoreLease folds one journal payload into the lease table,
-// reporting whether it was a lease record. The service's recovery pass
-// calls this for every WAL payload before jobs replay.
-func (n *Node) RestoreLease(payload []byte) bool { return n.leases.Restore(payload) }
 
 // OwnerOf returns the fleet node owning the job for the given program
 // hash.
@@ -156,21 +56,11 @@ func (n *Node) OwnerOf(progHash string) string { return n.jobRing.Owner("job|" +
 // handoff targets.
 func (n *Node) JobSequence(progHash string) []string { return n.jobRing.Sequence("job|" + progHash) }
 
-// Peers returns the full member list, sorted.
-func (n *Node) Peers() []string { return n.jobRing.Nodes() }
-
 // MarkDown records that a peer is unreachable (observed by a failed
-// send or an injected death). Routing skips down peers.
+// proxy). Routing skips down peers.
 func (n *Node) MarkDown(peer string) {
 	n.mu.Lock()
 	n.down[peer] = true
-	n.mu.Unlock()
-}
-
-// MarkUp clears a peer's down mark (a later probe succeeded).
-func (n *Node) MarkUp(peer string) {
-	n.mu.Lock()
-	delete(n.down, peer)
 	n.mu.Unlock()
 }
 
@@ -182,33 +72,7 @@ func (n *Node) Alive(peer string) bool {
 }
 
 // NoteJobHandoff counts a job routed past its dead owner.
-func (n *Node) NoteJobHandoff() { n.stats.jobHandoffs.Add(1) }
-
-// kill executes a node-death fault: the victim is killed at cluster
-// level (when a Killer is wired) and marked down here either way.
-func (n *Node) kill(victim string) {
-	if n.cfg.Killer != nil {
-		n.cfg.Killer(victim)
-	}
-	n.MarkDown(victim)
-}
-
-// span opens one Volatile fleet span (nil-tracer safe); callers attach
-// Info values and End it. Fleet spans are always Volatile: which node
-// ran a branch and how many times a lost lease forced a re-execution
-// are placement facts that must never enter the canonical stream.
-func (n *Node) span(name string) obs.Span {
-	sp := n.cfg.Tracer.Begin("fleet", name, 0)
-	sp.Volatile()
-	return sp
-}
-
-// setDegraded records the node's last dispatch degradation.
-func (n *Node) setDegraded(reason string) {
-	n.mu.Lock()
-	n.degraded = reason
-	n.mu.Unlock()
-}
+func (n *Node) NoteJobHandoff() { n.jobHandoffs.Add(1) }
 
 // PeerStatus is one row of the fleet status.
 type PeerStatus struct {
@@ -219,43 +83,22 @@ type PeerStatus struct {
 
 // Status is the machine-readable fleet state served at /v1/fleet.
 type Status struct {
-	Node           string             `json:"node"`
-	Epoch          uint64             `json:"epoch"`
-	LeaseTTLMillis int64              `json:"lease_ttl_ms"`
-	Peers          []PeerStatus       `json:"peers"`
-	ActiveLeases   int                `json:"active_leases"`
-	Leases         durable.LeaseStats `json:"leases"`
-	RemoteBranches uint64             `json:"remote_branches"`
-	Reexecuted     uint64             `json:"reexecuted"`
-	InjectedExpiry uint64             `json:"injected_expiry"`
-	HandoffDrops   uint64             `json:"handoff_drops"`
-	Abandoned      uint64             `json:"abandoned"`
-	JobHandoffs    uint64             `json:"job_handoffs"`
-	Degraded       string             `json:"degraded,omitempty"`
+	Node        string       `json:"node"`
+	Peers       []PeerStatus `json:"peers"`
+	JobHandoffs uint64       `json:"job_handoffs"`
 }
 
 // Status snapshots the node.
 func (n *Node) Status() Status {
 	n.mu.Lock()
-	degraded := n.degraded
 	var peers []PeerStatus
 	for _, p := range n.jobRing.Nodes() {
 		peers = append(peers, PeerStatus{ID: p, Self: p == n.cfg.ID, Alive: !n.down[p]})
 	}
 	n.mu.Unlock()
 	return Status{
-		Node:           n.cfg.ID,
-		Epoch:          n.cfg.Epoch,
-		LeaseTTLMillis: n.cfg.LeaseTTL.Milliseconds(),
-		Peers:          peers,
-		ActiveLeases:   n.leases.Active(),
-		Leases:         n.leases.Stats(),
-		RemoteBranches: n.stats.remoteBranches.Load(),
-		Reexecuted:     n.stats.reexecs.Load(),
-		InjectedExpiry: n.stats.injectedExpiry.Load(),
-		HandoffDrops:   n.stats.handoffDrops.Load(),
-		Abandoned:      n.stats.abandoned.Load(),
-		JobHandoffs:    n.stats.jobHandoffs.Load(),
-		Degraded:       degraded,
+		Node:        n.cfg.ID,
+		Peers:       peers,
+		JobHandoffs: n.jobHandoffs.Load(),
 	}
 }

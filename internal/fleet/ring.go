@@ -14,8 +14,7 @@ const ringVnodes = 64
 // pure function of (member set, key): every node that knows the same
 // peer list routes the same key to the same owner, with no coordination
 // — which is what makes replica-to-replica job handoff safe. Keys are
-// `(*kir.Program).Hash()` for jobs and the branch lease key for
-// distributed search units.
+// derived from `(*kir.Program).Hash()`.
 type Ring struct {
 	points []ringPoint
 	nodes  []string

@@ -62,10 +62,6 @@ type Options struct {
 	// resumes from the latest snapshots and produces the same diagnosis.
 	// Nil disables checkpointing at zero cost.
 	Checkpoint *core.CheckpointConfig
-	// Dispatch routes each reproduction's parallel branch units to a
-	// fleet of remote executors (see core.BranchDispatcher). Nil keeps
-	// every search local.
-	Dispatch core.BranchDispatcher
 	// Prior, when set, closes the learning loop around the analysis: it
 	// serves as the flip-test ranker (core.AnalysisOptions.Ranker) and
 	// every completed diagnosis's executed verdicts are folded back into
@@ -288,7 +284,6 @@ func (m *Manager) diagnoseRuns(ctx context.Context, runs []sliceRun) (*Result, e
 				slifs.Fault = m.opts.Fault
 				slifs.Retry = m.opts.Retry
 				slifs.Checkpoint = m.opts.Checkpoint
-				slifs.Dispatch = m.opts.Dispatch
 				if ptr.Enabled() {
 					slifs.Tracer = obs.New()
 				}

@@ -174,18 +174,6 @@ func (sp *Span) Info(key string, val int64) {
 	sp.ev.Info = append(sp.ev.Info, Arg{Key: key, Val: val})
 }
 
-// Volatile marks the span as scheduling-dependent: it is dropped from
-// the Canonical projection entirely. Fleet spans (lease grants,
-// handoffs, remote branch executions) are Volatile — which node ran a
-// branch, and how many times a lost lease forced a re-execution, are
-// placement facts, not search facts.
-func (sp *Span) Volatile() {
-	if sp.t == nil {
-		return
-	}
-	sp.ev.Volatile = true
-}
-
 // End closes the span and commits it.
 func (sp *Span) End() {
 	if sp.t == nil {

@@ -2,12 +2,14 @@ package service
 
 import (
 	"context"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"aitia/internal/fleet"
+	"aitia/internal/durable"
 )
 
 // TestRequeueExhaustedReason: a job that burns its whole requeue budget
@@ -192,58 +194,71 @@ func TestConcurrentHealthReadsRaceTransitions(t *testing.T) {
 	}
 }
 
-// TestRecoveryWithPriorEpochLeaseRecords: the job WAL and the fleet
-// lease table share one journal. A restart into a new fleet epoch must
-// replay the job records normally while discarding the dead
-// incarnation's lease grants — counted, fence-preserving, and without
-// tripping job recovery.
-func TestRecoveryWithPriorEpochLeaseRecords(t *testing.T) {
+// legacyLeaseRecords are branch-lease payloads in the shape older fleet
+// builds journaled next to job records: op "lease" and no job id.
+var legacyLeaseRecords = []string{
+	`{"op":"lease","action":"grant","lease_key":"branch|deadbeef|k=2|ord=1","node":"n2","fleet_epoch":1,"fence":1,"ttl_ms":2000}`,
+	`{"op":"lease","action":"renew","lease_key":"branch|deadbeef|k=2|ord=1","node":"n2","fleet_epoch":1,"fence":1,"ttl_ms":2000}`,
+	`{"op":"lease","action":"expire","lease_key":"branch|deadbeef|k=2|ord=1","node":"n2","fleet_epoch":1,"fence":1}`,
+	`{"op":"lease","action":"grant","lease_key":"branch|deadbeef|k=2|ord=1","node":"n3","fleet_epoch":1,"fence":2,"ttl_ms":2000}`,
+}
+
+// TestRecoveryWithLegacyLeaseRecords: a data dir whose WAL interleaves
+// job records with branch-lease records (written by builds that leased
+// LIFS branches to fleet peers) still opens. Every job recovers, and
+// compaction drops the lease records.
+func TestRecoveryWithLegacyLeaseRecords(t *testing.T) {
 	dir := t.TempDir()
-	f1 := fleet.New(fleet.Config{ID: "n1", Peers: []string{"n1", "n2"}, Epoch: 1})
 	never := make(chan struct{})
-	s1 := openDurable(t, dir, Config{Workers: 1, NodeID: "n1", Fleet: f1, Diagnoser: blockingDiagnoser(never)})
+	s1 := openDurable(t, dir, Config{Workers: 1, NodeID: "n1", Diagnoser: blockingDiagnoser(never)})
 	var ids []string
-	for i := 1; i <= 2; i++ {
+	for i := 1; i <= 3; i++ {
 		st, err := submitN(t, s1, i)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, st.ID)
+		if err := s1.journal.Append([]byte(legacyLeaseRecords[i-1])); err != nil {
+			t.Fatal(err)
+		}
 	}
 	waitState(t, s1, ids[0], StateRunning)
-	// Epoch-1 lease activity lands in the same WAL as the job records.
-	l, ok := f1.Leases().Acquire("branch|deadbeef|k=2|ord=1", "n2", time.Minute, time.Now())
-	if !ok {
-		t.Fatal("lease acquire failed")
+	if err := s1.journal.Append([]byte(legacyLeaseRecords[3])); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := f1.Leases().Renew(l, time.Minute, time.Now()); !ok {
-		t.Fatal("lease renew failed")
-	}
-	// Crash with the lease still out.
+	// Crash with the lease records in the WAL.
 
-	f2 := fleet.New(fleet.Config{ID: "n1", Peers: []string{"n1", "n2"}, Epoch: 2})
-	s2 := openDurable(t, dir, Config{Workers: 1, NodeID: "n1", Fleet: f2, Diagnoser: instantDiagnoser("A1 => B1")})
-	defer s2.Shutdown(context.Background())
-	if got := s2.Metrics().JobsRecovered.Value(); got != 2 {
-		t.Errorf("jobs_recovered = %d, want 2 (lease records must not derail job replay)", got)
+	s2 := openDurable(t, dir, Config{Workers: 1, NodeID: "n1", Diagnoser: instantDiagnoser("A1 => B1")})
+	if got := s2.Metrics().JobsRecovered.Value(); got != uint64(len(ids)) {
+		t.Errorf("jobs_recovered = %d, want %d (lease records must not derail job replay)", got, len(ids))
 	}
 	for _, id := range ids {
 		if st, err := s2.Wait(context.Background(), id); err != nil || st.State != StateDone {
 			t.Errorf("job %s: %v / %+v, want done", id, err, st)
 		}
 	}
-	lt := f2.Leases()
-	if lt.Active() != 0 {
-		t.Errorf("%d leases live after an epoch bump, want 0", lt.Active())
+	if err := s2.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-	if st := lt.Stats(); st.StaleEpoch == 0 {
-		t.Error("no prior-epoch lease record was counted")
+
+	jnl, err := durable.OpenJournal(filepath.Join(dir, "journal"), durable.JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The dead incarnation's fence is honored: a fresh grant on the same
-	// branch must carry a strictly larger token.
-	nl, ok := lt.Acquire("branch|deadbeef|k=2|ord=1", "n2", time.Minute, time.Now())
-	if !ok || nl.Fence <= l.Fence {
-		t.Errorf("post-restart fence = %d/%v, want > %d", nl.Fence, ok, l.Fence)
+	defer jnl.Close()
+	jobRecs := 0
+	if err := jnl.Replay(func(payload []byte) error {
+		if strings.Contains(string(payload), `"op":"lease"`) {
+			t.Errorf("lease record survived compaction: %s", payload)
+		} else {
+			jobRecs++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if jobRecs == 0 {
+		t.Error("journal holds no job records after recovery")
 	}
 }
 

@@ -2,14 +2,16 @@
 // service core stays transport-agnostic; this package only translates
 // requests and sentinel errors to HTTP semantics:
 //
-//	POST   /v1/diagnose   submit a job (202; 429 on queue-full backpressure).
+//	POST   /v1/diagnose   submit a job (202; 429 on queue-full backpressure;
+//	                      413 when the body exceeds 1 MiB).
 //	                      The request's options.workers field parallelizes
-//	                      the job's LIFS search (clamped to the server's
-//	                      -max-job-workers cap).
+//	                      the job's LIFS search on the node's local worker
+//	                      pool (clamped to the server's -max-job-workers cap).
 //	POST   /v1/diagnose-report  submit a report-driven job: the request's
 //	                      report field carries a KCSAN/KASAN-style crash
 //	                      report, diagnosed against the program named by
-//	                      scenario or source (400 without a report)
+//	                      scenario or source (400 without a report; 413
+//	                      when the body exceeds 1 MiB)
 //	GET    /v1/jobs       list all jobs
 //	GET    /v1/jobs/{id}  poll one job (includes the result when done)
 //	GET    /v1/jobs/{id}/trace  the job's execution trace as Chrome
@@ -22,33 +24,36 @@
 //	GET    /readyz        routability: 503 while draining or while journal
 //	                      recovery is still re-enqueueing, so a fleet load
 //	                      balancer stops routing before the drain
-//	GET    /v1/fleet      fleet membership, leases and handoff counters
-//	                      (404 single-node)
-//	POST   /v1/fleet/branch  execute one leased LIFS branch (fleet peers
-//	                      only; the distributed-search executor side)
-//	GET    /v1/fleet/ping    liveness probe for fleet peers
+//	GET    /v1/fleet      fleet membership, peer liveness and the job
+//	                      handoff counter (404 single-node)
 //
 // In fleet mode, POST /v1/diagnose(-report) consistently hashes the
 // request's program to its owning replica and proxies the submission
 // there (one hop at most, marked by an X-Aitia-Fleet-Forwarded header);
-// a dead owner's jobs are accepted locally — the handoff.
+// a dead owner's jobs are accepted locally — the handoff. The job then
+// runs entirely on the node that accepted it.
 package httpapi
 
 import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"time"
 
-	"aitia/internal/fleet"
 	"aitia/internal/service"
 )
 
 // forwardedHeader breaks proxy loops: a submission that already hopped
 // once is handled where it lands.
 const forwardedHeader = "X-Aitia-Fleet-Forwarded"
+
+// maxBodyBytes bounds a submission body. The largest corpus program is
+// about 16 KB of kasm, so 1 MiB leaves ample room for real programs and
+// crash reports while keeping one request from exhausting memory.
+const maxBodyBytes = 1 << 20
 
 // FleetConfig wires a handler's fleet mode: the peer URL map for
 // submission proxying ("" or nil entries disable proxying to that
@@ -75,16 +80,14 @@ func NewWithFleet(svc *service.Service, fc FleetConfig) http.Handler {
 	}
 	mux.HandleFunc("POST /v1/diagnose", func(w http.ResponseWriter, r *http.Request) {
 		var req service.Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+		if !decodeRequest(w, r, &req) {
 			return
 		}
 		submit(w, r, req)
 	})
 	mux.HandleFunc("POST /v1/diagnose-report", func(w http.ResponseWriter, r *http.Request) {
 		var req service.Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+		if !decodeRequest(w, r, &req) {
 			return
 		}
 		if req.Report == "" {
@@ -154,13 +157,28 @@ func NewWithFleet(svc *service.Service, fc FleetConfig) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, n.Status())
 	})
-	mux.HandleFunc("POST /v1/fleet/branch", func(w http.ResponseWriter, r *http.Request) {
-		fleet.BranchHandler()(w, r)
-	})
-	mux.HandleFunc("GET /v1/fleet/ping", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "node": svc.NodeID()})
-	})
 	return mux
+}
+
+// decodeRequest reads a submission body of at most maxBodyBytes. It
+// answers 413 with reason "body_too_large" for a longer body and 400 for
+// malformed JSON, reporting whether req was decoded.
+func decodeRequest(w http.ResponseWriter, r *http.Request, req *service.Request) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	err := json.NewDecoder(r.Body).Decode(req)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{
+			"error":  fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes),
+			"reason": "body_too_large",
+		})
+		return false
+	}
+	writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+	return false
 }
 
 // routeSubmit decides where a submission runs. Single-node (or already

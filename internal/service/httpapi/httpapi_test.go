@@ -72,10 +72,11 @@ func TestFleetEndpointSingleNode(t *testing.T) {
 }
 
 // TestFleetEndpointStatus: a fleet member serves its membership,
-// liveness view and lease counters.
+// liveness view and job-handoff counter.
 func TestFleetEndpointStatus(t *testing.T) {
-	n := fleet.New(fleet.Config{ID: "n1", Peers: []string{"n1", "n2", "n3"}, Epoch: 4})
+	n := fleet.New(fleet.Config{ID: "n1", Peers: []string{"n1", "n2", "n3"}})
 	n.MarkDown("n3")
+	n.NoteJobHandoff()
 	h := New(testService(t, service.Config{NodeID: "n1", Fleet: n}))
 
 	w := get(t, h, "/v1/fleet")
@@ -86,17 +87,13 @@ func TestFleetEndpointStatus(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Node != "n1" || st.Epoch != 4 || len(st.Peers) != 3 {
-		t.Errorf("status = %+v, want n1 epoch 4 with 3 peers", st)
+	if st.Node != "n1" || st.JobHandoffs != 1 || len(st.Peers) != 3 {
+		t.Errorf("status = %+v, want n1 with 1 job handoff and 3 peers", st)
 	}
 	for _, p := range st.Peers {
 		if p.ID == "n3" && p.Alive {
 			t.Error("n3 reported alive after MarkDown")
 		}
-	}
-
-	if w := get(t, h, "/v1/fleet/ping"); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"n1"`) {
-		t.Errorf("/v1/fleet/ping = %d %q, want 200 naming n1", w.Code, w.Body.String())
 	}
 }
 
@@ -111,7 +108,7 @@ func fleetPair(t *testing.T) (map[string]*service.Service, map[string]*fleet.Nod
 	urls := make(map[string]string, 2)
 	servers := make(map[string]*httptest.Server, 2)
 	for _, id := range ids {
-		n := fleet.New(fleet.Config{ID: id, Peers: ids, Epoch: 1})
+		n := fleet.New(fleet.Config{ID: id, Peers: ids})
 		nodes[id] = n
 		svcs[id] = testService(t, service.Config{NodeID: id, Fleet: n})
 	}
@@ -247,15 +244,28 @@ func TestSubmitHandoffWhenOwnerDead(t *testing.T) {
 	}
 }
 
-// TestBranchEndpointRoundTrip: the branch-execution endpoint rejects
-// malformed and alien payloads; the executable round-trip itself is
-// covered end-to-end by TestHTTPTransportExecutesBranch in the fleet
-// package and the core dispatch equivalence tests.
-func TestBranchEndpointRoundTrip(t *testing.T) {
-	h := New(testService(t, service.Config{}))
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/fleet/branch", strings.NewReader("not json")))
-	if w.Code != http.StatusBadRequest {
-		t.Errorf("malformed branch request = %d, want 400", w.Code)
+// TestOversizedBodyRejected: a submission body over the 1 MiB bound is
+// answered 413 with a machine-readable reason on both POST routes, and
+// no job is queued.
+func TestOversizedBodyRejected(t *testing.T) {
+	svc := testService(t, service.Config{})
+	h := New(svc)
+	body := `{"scenario": "fig1", "report": "` + strings.Repeat("x", maxBodyBytes) + `"}`
+	for _, path := range []string{"/v1/diagnose", "/v1/diagnose-report"} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if w.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s oversized body = %d, want 413", path, w.Code)
+		}
+		var resp map[string]string
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%s: 413 body is not JSON: %v (%q)", path, err, w.Body.String())
+		}
+		if resp["reason"] != "body_too_large" || resp["error"] == "" {
+			t.Errorf("%s: 413 body = %v, want reason body_too_large and an error", path, resp)
+		}
+	}
+	if jobs := svc.Jobs(); len(jobs) != 0 {
+		t.Errorf("%d jobs queued from oversized bodies, want 0", len(jobs))
 	}
 }

@@ -128,11 +128,10 @@ type Config struct {
 	// statuses so clients can see which node ran their diagnosis.
 	// Empty for single-node deployments.
 	NodeID string
-	// Fleet, when set, puts the service in multi-node mode: each job's
-	// LIFS branch search is distributed to fleet peers under leases,
-	// and a partitioned dispatch annotates the diagnosis with a
-	// machine-readable PartialReason. With DataDir the node's lease
-	// table journals into (and recovers from) the service WAL.
+	// Fleet, when set, puts the service in multi-node mode: submits are
+	// routed to the job's ring owner and handed off past a dead one
+	// (see the httpapi routes). Every diagnosis still runs locally on
+	// the node that owns it.
 	Fleet *fleet.Node
 }
 
@@ -368,19 +367,6 @@ func Open(cfg Config) (*Service, error) {
 			s.prior, reason = prior.LoadFrom(ck, pcfg)
 			rebuildPrior = reason != prior.ReasonLoaded
 		}
-		// Fleet lease recovery runs first, over the raw WAL: lease
-		// records must be folded before compaction rewrites the journal
-		// (compaction keeps only job state). Records from a prior fleet
-		// epoch bump fencing high-water marks but grant nothing — a dead
-		// incarnation's holders are gone, and their late results must be
-		// fenced off, not honored.
-		if cfg.Fleet != nil {
-			cfg.Fleet.Leases().SetJournal(jnl)
-			_ = jnl.Replay(func(payload []byte) error {
-				cfg.Fleet.RestoreLease(payload)
-				return nil
-			})
-		}
 		st, err := foldJournal(jnl)
 		if err != nil {
 			_ = jnl.Close()
@@ -602,9 +588,6 @@ func (s *Service) Ready() (bool, string) {
 
 // Fleet exposes the node's fleet membership (nil single-node).
 func (s *Service) Fleet() *fleet.Node { return s.cfg.Fleet }
-
-// NodeID returns this replica's fleet identity ("" single-node).
-func (s *Service) NodeID() string { return s.cfg.NodeID }
 
 // HashRequest resolves a request far enough to return its program's
 // content hash — the fleet job-routing key. Transports use it to decide
@@ -1057,15 +1040,6 @@ func (s *Service) runManager(ctx context.Context, prog *kir.Program, req Request
 	if s.ckStore != nil {
 		ck = &core.CheckpointConfig{Store: s.ckStore, Every: s.cfg.CheckpointEvery}
 	}
-	// Fleet mode: the job's branch search is distributed under leases.
-	// One dispatcher per job, so its degradation reason annotates this
-	// diagnosis and no other.
-	var disp *fleet.Dispatcher
-	var dispatch core.BranchDispatcher
-	if s.cfg.Fleet != nil && req.Options.Workers > 1 {
-		disp = s.cfg.Fleet.Dispatcher()
-		dispatch = disp
-	}
 	mgr, err := manager.New(prog, manager.Options{
 		Workers:     s.cfg.JobWorkers,
 		LIFSWorkers: req.Options.Workers,
@@ -1078,7 +1052,6 @@ func (s *Service) runManager(ctx context.Context, prog *kir.Program, req Request
 		Fault:      fi.Plan,
 		Retry:      fi.Retry,
 		Checkpoint: ck,
-		Dispatch:   dispatch,
 		Prior:      s.prior,
 	})
 	if err != nil {
@@ -1102,14 +1075,5 @@ func (s *Service) runManager(ctx context.Context, prog *kir.Program, req Request
 	}
 	res := aitia.FromManagerResult(prog, mres)
 	res.Scenario = req.Scenario
-	sum := res.Summary()
-	if disp != nil {
-		if reason := disp.Degraded(); reason != "" && !sum.Partial {
-			// The chain itself is intact (local sweep re-ran every
-			// abandoned branch), but the fleet did not hold: surface it.
-			sum.Partial = true
-			sum.PartialReason = reason
-		}
-	}
-	return sum, nil
+	return res.Summary(), nil
 }
