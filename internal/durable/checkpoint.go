@@ -97,7 +97,14 @@ func (s *CheckpointStore) Save(key string, version uint32, payload []byte) error
 		return fmt.Errorf("durable: checkpoint temp: %w", err)
 	}
 	tmpName := tmp.Name()
-	defer os.Remove(tmpName)
+	renamed := false
+	defer func() {
+		// A successful rename consumed the temp file: only a failed
+		// save has one to remove.
+		if !renamed {
+			os.Remove(tmpName)
+		}
+	}()
 	if _, err := tmp.Write(buf); err != nil {
 		tmp.Close()
 		return fmt.Errorf("durable: checkpoint write: %w", err)
@@ -114,6 +121,7 @@ func (s *CheckpointStore) Save(key string, version uint32, payload []byte) error
 	if err := os.Rename(tmpName, s.path(key)); err != nil {
 		return fmt.Errorf("durable: checkpoint rename: %w", err)
 	}
+	renamed = true
 	s.saves.Add(1)
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -140,5 +141,33 @@ func TestCheckpointKeySanitization(t *testing.T) {
 	got, err := s.Load(key, 1)
 	if err != nil || string(got) != "x" {
 		t.Fatalf("Load = %q, %v", got, err)
+	}
+}
+
+// TestCheckpointLeavesNoTempFiles: a successful save renames its temp
+// file into place, and a failed one (the target path is a directory,
+// so the rename fails) removes it.
+func TestCheckpointLeavesNoTempFiles(t *testing.T) {
+	s := openStore(t)
+	for i := 0; i < 3; i++ {
+		if err := s.Save("k", 1, []byte("payload")); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+	}
+	if err := os.Mkdir(s.path("blocked"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save("blocked", 1, []byte("payload")); err == nil {
+		t.Fatal("Save over a directory succeeded")
+	}
+	if st := s.Stats(); st.Saves != 3 {
+		t.Errorf("Saves = %d, want 3 (the failed save must not count)", st.Saves)
+	}
+	tmps, err := filepath.Glob(filepath.Join(s.Dir(), "ckpt-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tmps) != 0 {
+		t.Errorf("temp files left behind: %v", tmps)
 	}
 }

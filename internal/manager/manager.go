@@ -84,6 +84,10 @@ type Result struct {
 	// program — suspects, ambiguity fan-out, degradation reasons. Only
 	// set by DiagnoseReport.
 	Resolution *ingest.PartialSlice
+	// PriorDelta is what this diagnosis folded into Options.Prior (nil
+	// without a prior). Only a returned diagnosis teaches the prior, so
+	// a failed run taught it nothing.
+	PriorDelta *prior.Delta
 	// Stage wall-clock times.
 	ReproduceTime time.Duration
 	DiagnoseTime  time.Duration
@@ -381,10 +385,11 @@ func (m *Manager) diagnoseRuns(ctx context.Context, runs []sliceRun) (*Result, e
 	if err != nil {
 		return nil, err
 	}
+	var delta *prior.Delta
 	if m.opts.Prior != nil {
 		// Feed the executed verdicts back: the next diagnosis ranks its
 		// flips by what this one settled.
-		m.opts.Prior.ObserveDiagnosis(sliceProg, diag)
+		delta = m.opts.Prior.ObserveDiagnosis(sliceProg, diag)
 	}
 
 	return &Result{
@@ -392,6 +397,7 @@ func (m *Manager) diagnoseRuns(ctx context.Context, runs []sliceRun) (*Result, e
 		SlicesTried:   tried,
 		Reproduction:  bestRep,
 		Diagnosis:     diag,
+		PriorDelta:    delta,
 		ReproduceTime: reproTime,
 		DiagnoseTime:  time.Since(diagStart),
 	}, nil

@@ -126,6 +126,14 @@ func LoadFrom(store *durable.CheckpointStore, cfg Config) (*Store, string) {
 	return st, ReasonLoaded
 }
 
+// SetLoadReason records how a durable layer other than LoadFrom
+// restored the store (the service's journal replay); see LoadReason.
+func (s *Store) SetLoadReason(reason string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.loadReason = reason
+}
+
 // SaveTo persists the store into the durable layer (atomic write; see
 // durable.CheckpointStore).
 func (s *Store) SaveTo(store *durable.CheckpointStore) error {

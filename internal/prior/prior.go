@@ -6,6 +6,14 @@
 // executing them. Ranking changes the work, never the answer — the
 // causality chain of a ranked analysis is byte-identical to fixed-order
 // analysis (see core.AnalysisOptions.Ranker for the invariant).
+//
+// Every diagnosis reaches the store as a Delta — its verdict and kill
+// counts — folded in with Store.Apply. The diagnosis service journals
+// each job's delta with the job's outcome and rebuilds the store on
+// restart by applying the journaled deltas, on top of a legacy
+// whole-store snapshot (CheckpointKey) when one exists; the service
+// reads that snapshot but never writes it. The library path
+// (aitia.Options.PriorDir) persists whole stores with LoadFrom/SaveTo.
 package prior
 
 import (
@@ -176,47 +184,14 @@ func (s *Store) observe(sig string, v core.Verdict) {
 	s.observations++
 }
 
-// ObserveDiagnosis folds a completed analysis into the store: every
-// executed flip's final (post-ambiguity) verdict, and for every executed
-// chain member, its kill relation against each other tested race (did
-// the flip make that pair disappear?). Prior-skipped races are excluded
-// — their verdict came from this store, and feeding it back would let
-// the prior reinforce itself without evidence.
-func (s *Store) ObserveDiagnosis(prog *kir.Program, d *core.Diagnosis) {
-	if d == nil {
-		return
-	}
-	sigs := make([]string, len(d.Tested))
-	for i, tr := range d.Tested {
-		sigs[i] = Signature(prog, tr.Race)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, tr := range d.Tested {
-		if tr.PriorSkipped || tr.Verdict == core.VerdictUnknown {
-			continue
-		}
-		s.observe(sigs[i], tr.Verdict)
-		if tr.FlipRun == nil || (tr.Verdict != core.VerdictRootCause && tr.Verdict != core.VerdictAmbiguous) {
-			continue
-		}
-		for j, other := range d.Tested {
-			if j == i {
-				continue
-			}
-			key := killKey(sigs[i], sigs[j])
-			ks := s.kills[key]
-			if ks == nil {
-				ks = &KillStats{}
-				s.kills[key] = ks
-			}
-			if sched.RaceOccurred(tr.FlipRun, other.Race) {
-				ks.Survived++
-			} else {
-				ks.Killed++
-			}
-		}
-	}
+// ObserveDiagnosis folds a completed analysis into the store and
+// returns what it added (see diagnosisDelta for what counts as
+// evidence). The returned delta is what the service journals with the
+// job's outcome: Apply on a restored store reproduces this call.
+func (s *Store) ObserveDiagnosis(prog *kir.Program, d *core.Diagnosis) *Delta {
+	delta := diagnosisDelta(prog, d)
+	s.Apply(delta)
+	return delta
 }
 
 // ObserveVerdict records a verdict by its wire name ("benign",

@@ -17,7 +17,7 @@ import (
 // "other", with pad extra single-instruction functions emitted FIRST so
 // that every instruction ID shifts between otherwise-identical programs
 // — the cross-program transfer case the signature must survive.
-func buildProg(t *testing.T, pad int) *kir.Program {
+func buildProg(t testing.TB, pad int) *kir.Program {
 	t.Helper()
 	b := kir.NewBuilder()
 	b.Var("flag", 0)
@@ -44,7 +44,7 @@ func buildProg(t *testing.T, pad int) *kir.Program {
 	return prog
 }
 
-func raceOf(t *testing.T, prog *kir.Program, first, second string) sched.Race {
+func raceOf(t testing.TB, prog *kir.Program, first, second string) sched.Race {
 	t.Helper()
 	f, ok := prog.ByLabel(first)
 	if !ok {
@@ -309,5 +309,73 @@ func TestLoadDegradesToFixedOrder(t *testing.T) {
 	if reason != ReasonLoaded || st.Pairs() != 1 || st.Observations() != 1 {
 		t.Errorf("valid prior: reason %q, %d pairs, %d observations; want loaded/1/1",
 			reason, st.Pairs(), st.Observations())
+	}
+}
+
+// TestDeltaReplayMatchesLive: the deltas ObserveDiagnosis returns,
+// encoded, decoded and applied in any order to a store holding the same
+// starting snapshot, reproduce the live store byte for byte.
+func TestDeltaReplayMatchesLive(t *testing.T) {
+	prog := buildProg(t, 0)
+	w, w2 := raceOf(t, prog, "W", "R"), raceOf(t, prog, "W2", "R2")
+	live := NewStore(Config{})
+	live.Observe(Signature(prog, w2), core.VerdictBenign)
+	base := live.Encode()
+
+	diags := []*core.Diagnosis{
+		{Tested: []core.TestedRace{
+			{Race: w, Verdict: core.VerdictRootCause, FlipRun: &sched.RunResult{}},
+			{Race: w2, Verdict: core.VerdictBenign, FlipRun: &sched.RunResult{}},
+		}},
+		{Tested: []core.TestedRace{
+			{Race: w, Verdict: core.VerdictAmbiguous, FlipRun: &sched.RunResult{}},
+			{Race: w2, Verdict: core.VerdictBenign, PriorSkipped: true},
+		}},
+		{Tested: []core.TestedRace{{Race: w2, Verdict: core.VerdictUnknown}}},
+		nil,
+	}
+	var journal [][]byte
+	for _, d := range diags {
+		journal = append(journal, live.ObserveDiagnosis(prog, d).Encode())
+	}
+	if got := string(journal[2]); got != "{}" {
+		t.Errorf("delta of an unknown-only diagnosis = %s, want {}", got)
+	}
+
+	restored, err := Decode(base, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := len(journal) - 1; i >= 0; i-- {
+		d, err := DecodeDelta(journal[i])
+		if err != nil {
+			t.Fatalf("DecodeDelta(%s): %v", journal[i], err)
+		}
+		restored.Apply(d)
+	}
+	if got, want := restored.Encode(), live.Encode(); !bytes.Equal(got, want) {
+		t.Errorf("replayed deltas diverge from the live store:\n got %s\nwant %s", got, want)
+	}
+	if restored.Observations() != 4 || restored.KillPairs() != 1 {
+		t.Errorf("restored %d observations, %d kill pairs; want 4, 1", restored.Observations(), restored.KillPairs())
+	}
+}
+
+// TestDecodeDeltaRejectsMalformed: bad JSON, empty signatures and rows
+// naming a signature out of range are errors, never a partial delta.
+func TestDecodeDeltaRejectsMalformed(t *testing.T) {
+	for _, in := range []string{
+		`garbage`,
+		`"a string"`,
+		`{"s":5}`,
+		`{"s":[""],"v":[[0,1,0,0]]}`,
+		`{"s":["a"],"v":[[1,1,0,0]]}`,
+		`{"s":["a"],"k":[[0,1,1,0]]}`,
+		`{"v":[[0,1,0,0]]}`,
+		`{"s":["a"],"v":[[-1,1,0,0]]}`,
+	} {
+		if d, err := DecodeDelta([]byte(in)); err == nil {
+			t.Errorf("DecodeDelta(%s) = %+v, want an error", in, d)
+		}
 	}
 }

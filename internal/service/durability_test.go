@@ -193,14 +193,18 @@ func TestWarmCacheRespectsLRUBound(t *testing.T) {
 		t.Errorf("warmed cache holds %d results, want the LRU bound 2", got)
 	}
 	// The newest two journaled results hit; the oldest was evicted and
-	// re-runs the pipeline.
-	for i, wantHit := range map[int]bool{1: false, 2: true, 3: true} {
-		st, err := submitN(t, s2, i)
+	// re-runs the pipeline. The miss goes last: its result, once cached,
+	// evicts one of the other two.
+	for _, c := range []struct {
+		i       int
+		wantHit bool
+	}{{2, true}, {3, true}, {1, false}} {
+		st, err := submitN(t, s2, c.i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.CacheHit != wantHit {
-			t.Errorf("resubmission %d: cache_hit = %t, want %t", i, st.CacheHit, wantHit)
+		if st.CacheHit != c.wantHit {
+			t.Errorf("resubmission %d: cache_hit = %t, want %t", c.i, st.CacheHit, c.wantHit)
 		}
 	}
 }

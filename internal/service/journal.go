@@ -24,7 +24,8 @@ const (
 
 // jobRecord is one journal entry. Submit records carry the full request
 // (enough to re-resolve and re-run the job after a crash); terminal
-// records carry the outcome. All other fields are progress metadata.
+// records carry the outcome and, with the prior enabled, the job's
+// prior delta. All other fields are progress metadata.
 type jobRecord struct {
 	Op  string    `json:"op"`
 	ID  string    `json:"id"`
@@ -43,15 +44,26 @@ type jobRecord struct {
 	Summary     *aitia.ResultSummary `json:"summary,omitempty"`
 	QueueWaitMS int64                `json:"queue_wait_ms,omitempty"`
 	RunMS       int64                `json:"run_ms,omitempty"`
+	// Prior is the encoded prior.Delta of a terminal record: what the
+	// job taught the flip prior. The journal is the service's only
+	// durable copy of it. A job whose prior is enabled always carries
+	// one (an empty one is "{}"), so a terminal record without it comes
+	// from an older build. Kept raw so that a malformed delta drops
+	// only itself at replay, not the record.
+	Prior json.RawMessage `json:"prior,omitempty"`
 }
 
 // journalAppend commits one record to the WAL. Callers hold s.mu, so
 // journal order equals state-transition order. A nil journal (no
 // DataDir) makes this a no-op; append errors are swallowed — durability
-// is best-effort and must never fail a live job transition.
+// is best-effort and must never fail a live job transition. With the
+// prior enabled, a terminal record without a delta gets an empty one.
 func (s *Service) journalAppend(rec jobRecord) {
 	if s.journal == nil {
 		return
+	}
+	if s.prior != nil && rec.Prior == nil && terminalOp(rec.Op) {
+		rec.Prior = emptyDelta
 	}
 	rec.At = time.Now()
 	payload, err := json.Marshal(rec)
@@ -59,6 +71,12 @@ func (s *Service) journalAppend(rec jobRecord) {
 		return
 	}
 	_ = s.journal.Append(payload)
+}
+
+var emptyDelta = json.RawMessage("{}")
+
+func terminalOp(op string) bool {
+	return op == opDone || op == opFailed || op == opCanceled
 }
 
 // replayedJob is the folded journal state of one job.
@@ -71,13 +89,22 @@ type replayedJob struct {
 	sum    *aitia.ResultSummary
 	wait   int64
 	run    int64
+	delta  json.RawMessage // the latest terminal record's prior delta
+}
+
+// doneRecord is a journaled done record, decoded and as journaled:
+// compaction re-emits the payload verbatim instead of re-encoding the
+// result summary.
+type doneRecord struct {
+	jobRecord
+	raw []byte
 }
 
 // replayState is the outcome of folding the whole journal.
 type replayState struct {
 	jobs   map[string]*replayedJob
-	order  []string    // submit order (first submit wins the slot)
-	warm   []jobRecord // terminal done records in journal order, for cache warming
+	order  []string     // submit order (first submit wins the slot)
+	warm   []doneRecord // terminal done records in journal order, for cache warming
 	maxSeq uint64
 }
 
@@ -121,15 +148,18 @@ func foldJournal(j *durable.Journal) (*replayState, error) {
 			rj.state = StateDone
 			rj.sum = rec.Summary
 			rj.run = rec.RunMS
-			st.warm = append(st.warm, rec)
+			rj.delta = rec.Prior
+			st.warm = append(st.warm, doneRecord{rec, payload})
 		case opFailed:
 			rj.state = StateFailed
 			rj.err = rec.Error
 			rj.reason = rec.Reason
 			rj.run = rec.RunMS
+			rj.delta = rec.Prior
 		case opCanceled:
 			rj.state = StateCanceled
 			rj.err = rec.Error
+			rj.delta = rec.Prior
 		}
 		return nil
 	})
@@ -161,20 +191,21 @@ func (rj *replayedJob) records() []jobRecord {
 	case StateRunning:
 		recs = append(recs, jobRecord{Op: opStart, ID: rj.submit.ID, QueueWaitMS: rj.wait, At: rj.submit.At})
 	case StateDone:
-		recs = append(recs, jobRecord{Op: opDone, ID: rj.submit.ID, Summary: rj.sum, RunMS: rj.run, At: rj.submit.At})
+		recs = append(recs, jobRecord{Op: opDone, ID: rj.submit.ID, Summary: rj.sum, RunMS: rj.run, Prior: rj.delta, At: rj.submit.At})
 	case StateFailed:
-		recs = append(recs, jobRecord{Op: opFailed, ID: rj.submit.ID, Error: rj.err, Reason: rj.reason, RunMS: rj.run, At: rj.submit.At})
+		recs = append(recs, jobRecord{Op: opFailed, ID: rj.submit.ID, Error: rj.err, Reason: rj.reason, RunMS: rj.run, Prior: rj.delta, At: rj.submit.At})
 	case StateCanceled:
-		recs = append(recs, jobRecord{Op: opCanceled, ID: rj.submit.ID, Error: rj.err, At: rj.submit.At})
+		recs = append(recs, jobRecord{Op: opCanceled, ID: rj.submit.ID, Error: rj.err, Prior: rj.delta, At: rj.submit.At})
 	}
 	return recs
 }
 
 // compactJournal rewrites the WAL to the minimal record set that
 // reproduces the current job table: per job, a submit record plus its
-// latest state. Done jobs are emitted last, in their original terminal
-// order, so a replay of the compacted journal warms the LRU cache in
-// the same order as a replay of the full one.
+// latest state — for a terminal job, its final terminal record with
+// the prior delta that record carries. Done jobs are emitted last, in
+// their original terminal order, so a replay of the compacted journal
+// warms the LRU cache in the same order as a replay of the full one.
 func compactJournal(j *durable.Journal, st *replayState) error {
 	return j.Compact(func(emit func([]byte) error) error {
 		emitRec := func(rec jobRecord) error {
@@ -209,7 +240,7 @@ func compactJournal(j *durable.Journal, st *replayState) error {
 			if rj, ok := st.jobs[rec.ID]; !ok || rj.state != StateDone {
 				continue
 			}
-			if err := emitRec(rec); err != nil {
+			if err := emit(rec.raw); err != nil {
 				return err
 			}
 		}

@@ -22,6 +22,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -119,10 +120,11 @@ type Config struct {
 	// (prior.Config.MinSupport): how many unanimous benign verdicts a
 	// race signature needs before its flips are settled without a run.
 	// Zero means the default (1); negative disables the prior entirely
-	// (every analysis runs in fixed backward order). With DataDir the
-	// prior persists in the checkpoint store and is warm-loaded on
-	// recovery; an absent or corrupt snapshot is rebuilt from the
-	// journal's completed diagnoses.
+	// (every analysis runs in fixed backward order). With DataDir each
+	// job's terminal journal record carries what the job taught the
+	// prior (a prior.Delta), and Open rebuilds the prior by applying
+	// them — on top of the legacy prior snapshot older builds kept in
+	// the checkpoint store, when one exists.
 	PriorMinSupport int
 	// NodeID names this replica in a fleet; it is stamped on job
 	// statuses so clients can see which node ran their diagnosis.
@@ -357,15 +359,12 @@ func Open(cfg Config) (*Service, error) {
 		}
 		s.ckStore, s.journal = ck, jnl
 		s.metrics.Journal, s.metrics.Checkpoints = jnl, ck
-		// Warm-load the prior from its checkpoint. When the snapshot is
-		// absent or corrupt the store comes back empty (with a
-		// machine-readable reason) and restoreJobs rebuilds it from the
-		// journal's completed diagnoses instead.
-		rebuildPrior := false
+		// Warm-load the legacy prior snapshot older builds wrote after
+		// every job (this build reads it, never writes it); restorePrior
+		// applies the journaled deltas on top.
+		legacy := ""
 		if s.prior != nil {
-			var reason string
-			s.prior, reason = prior.LoadFrom(ck, pcfg)
-			rebuildPrior = reason != prior.ReasonLoaded
+			s.prior, legacy = prior.LoadFrom(ck, pcfg)
 		}
 		st, err := foldJournal(jnl)
 		if err != nil {
@@ -378,7 +377,8 @@ func Open(cfg Config) (*Service, error) {
 			_ = jnl.Close()
 			return nil, err
 		}
-		pending = s.restoreJobs(st, rebuildPrior)
+		pending = s.restoreJobs(st)
+		s.restorePrior(st, legacy)
 		if len(pending) > queueDepth {
 			// Every interrupted job must fit back on the queue.
 			queueDepth = len(pending)
@@ -412,10 +412,8 @@ func Open(cfg Config) (*Service, error) {
 // the oldest journaled results first. Jobs that were queued or running
 // when the process died are returned for re-enqueueing, journaled as
 // requeued under a forked fault epoch (the crash was this epoch's
-// failure — the next run must not re-draw its exact faults). With
-// feedPrior set, the warmed summaries also rebuild the flip prior (the
-// persisted snapshot was absent or corrupt).
-func (s *Service) restoreJobs(st *replayState, feedPrior bool) []*job {
+// failure — the next run must not re-draw its exact faults).
+func (s *Service) restoreJobs(st *replayState) []*job {
 	s.nextID.Store(st.maxSeq)
 	var pending []*job
 	for _, id := range st.order {
@@ -473,18 +471,52 @@ func (s *Service) restoreJobs(st *replayState, feedPrior bool) []*job {
 			continue
 		}
 		s.cache.add(rj.submit.Key, rec.Summary)
-		if feedPrior {
-			s.feedPriorSummary(rec.Summary)
-		}
 	}
 	return pending
 }
 
+// restorePrior rebuilds the flip prior from the folded journal, on top
+// of the legacy snapshot Open loaded (legacy is its load reason). It
+// applies the delta of each job's final terminal record, the same
+// Apply the live jobs went through, so the restored prior equals the
+// live one: a job a crash interrupted journaled no delta and counts
+// once when it reruns. A malformed delta is dropped; its job and
+// result are restored as usual. Terminal records without a delta come
+// from older builds, whose evidence the legacy snapshot holds; only
+// when that snapshot is absent or corrupt are their result summaries
+// fed instead.
+func (s *Service) restorePrior(st *replayState, legacy string) {
+	if s.prior == nil {
+		return
+	}
+	restored := false
+	for _, id := range st.order {
+		rj := st.jobs[id]
+		switch {
+		case rj.state == StateQueued || rj.state == StateRunning:
+			// No outcome journaled: the job reruns and teaches anew.
+		case rj.delta == nil:
+			if legacy != prior.ReasonLoaded {
+				s.feedPriorSummary(rj.sum)
+			}
+		default:
+			if d, err := prior.DecodeDelta(rj.delta); err == nil {
+				s.prior.Apply(d)
+				restored = true
+			}
+		}
+	}
+	if restored && legacy == prior.ReasonAbsent {
+		s.prior.SetLoadReason(prior.ReasonLoaded)
+	}
+}
+
 // feedPriorSummary rebuilds prior statistics from a journaled result
-// summary — the fallback feed when the persisted prior snapshot is
-// absent or corrupt but the journal still holds completed diagnoses.
-// Verdicts the prior itself settled carry no new evidence and are
-// skipped; so are unknown verdicts.
+// summary — the fallback feed for records of older builds, which
+// journaled no delta, when the legacy prior snapshot is absent or
+// corrupt. Summaries carry verdicts but no flip-run footprints, so kill
+// relations are not rebuilt. Verdicts the prior itself settled carry
+// no new evidence and are skipped; so are unknown verdicts.
 func (s *Service) feedPriorSummary(sum *aitia.ResultSummary) {
 	if s.prior == nil || sum == nil {
 		return
@@ -495,17 +527,6 @@ func (s *Service) feedPriorSummary(sum *aitia.ResultSummary) {
 		}
 		s.prior.ObserveVerdict(v.Race.Sig, v.Verdict)
 	}
-}
-
-// persistPrior checkpoints the flip prior (atomic tmp+rename in the
-// durable store), so a restarted service warm-loads everything earlier
-// jobs taught it. Concurrent saves serialize on the snapshot encoding's
-// read lock and the store's atomic write.
-func (s *Service) persistPrior() {
-	if s.prior == nil || s.ckStore == nil {
-		return
-	}
-	_ = s.prior.SaveTo(s.ckStore)
 }
 
 // Metrics returns the service's metric registry.
@@ -929,24 +950,28 @@ func (s *Service) runJob(ctx context.Context, j *job) {
 	s.metrics.BusyWorkers.Inc()
 	defer s.metrics.BusyWorkers.Dec()
 
-	diagnose := s.cfg.Diagnoser
-	if diagnose == nil {
-		diagnose = s.runManager
-	}
 	// The fault plan is forked per requeue epoch: a job that died to
 	// deterministic faults must not re-draw exactly those faults on its
 	// second life.
 	fi := FaultContext{Plan: s.cfg.Fault.Fork(uint64(j.requeues)), Retry: s.retryPolicy()}
 	run := j.tr.Begin("job", "run", 0)
-	sum, err := diagnose(ctx, j.prog, j.req, j.tr, fi)
+	var (
+		sum   *aitia.ResultSummary
+		delta *prior.Delta
+		err   error
+	)
+	if s.cfg.Diagnoser != nil {
+		sum, err = s.cfg.Diagnoser(ctx, j.prog, j.req, j.tr, fi)
+	} else {
+		sum, delta, err = s.runManager(ctx, j.prog, j.req, j.tr, fi)
+	}
 	run.End()
 	j.cancel()
-
-	if err == nil {
-		// Persist what the job taught the prior before publishing the
-		// result: a crash after this point recovers a prior at least as
-		// informed as the journaled outcome implies.
-		s.persistPrior()
+	// What the job taught the prior is journaled with its outcome — the
+	// journal is the prior's durable copy, and Open replays it.
+	var priorDelta json.RawMessage
+	if delta != nil {
+		priorDelta = delta.Encode()
 	}
 
 	s.mu.Lock()
@@ -960,7 +985,7 @@ func (s *Service) runJob(ctx context.Context, j *job) {
 		j.status.State = StateDone
 		j.status.Result = sum
 		s.cache.add(j.key, sum)
-		s.journalAppend(jobRecord{Op: opDone, ID: j.status.ID, Summary: sum, RunMS: j.status.RunMS})
+		s.journalAppend(jobRecord{Op: opDone, ID: j.status.ID, Summary: sum, RunMS: j.status.RunMS, Prior: priorDelta})
 		s.metrics.JobsCompleted.Inc()
 		if sum.Partial {
 			s.metrics.JobsPartial.Inc()
@@ -1018,8 +1043,9 @@ func (s *Service) retryPolicy() faultinject.RetryPolicy {
 }
 
 // runManager is the default Diagnoser: the full manager pipeline on the
-// program's declared threads, under the job's context.
-func (s *Service) runManager(ctx context.Context, prog *kir.Program, req Request, tr *obs.Tracer, fi FaultContext) (*aitia.ResultSummary, error) {
+// program's declared threads, under the job's context. It also returns
+// what the diagnosis taught the prior (nil with the prior disabled).
+func (s *Service) runManager(ctx context.Context, prog *kir.Program, req Request, tr *obs.Tracer, fi FaultContext) (*aitia.ResultSummary, *prior.Delta, error) {
 	lifs := core.LIFSOptions{
 		MaxInterleavings: req.Options.MaxInterleavings,
 		StepBudget:       req.Options.StepBudget,
@@ -1055,7 +1081,7 @@ func (s *Service) runManager(ctx context.Context, prog *kir.Program, req Request
 		Prior:      s.prior,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var mres *manager.Result
 	if req.Report != "" {
@@ -1064,16 +1090,16 @@ func (s *Service) runManager(ctx context.Context, prog *kir.Program, req Request
 		// itself (overriding the blind defaults set above).
 		rpt, perr := ingest.Parse(req.Report)
 		if perr != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadRequest, perr)
+			return nil, nil, fmt.Errorf("%w: %v", ErrBadRequest, perr)
 		}
 		mres, err = mgr.DiagnoseReport(ctx, rpt)
 	} else {
 		mres, err = mgr.Diagnose(ctx)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res := aitia.FromManagerResult(prog, mres)
 	res.Scenario = req.Scenario
-	return res.Summary(), nil
+	return res.Summary(), mres.PriorDelta, nil
 }
